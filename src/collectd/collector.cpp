@@ -21,6 +21,7 @@
 
 #include "collectd/net.hpp"
 #include "collectd/wire.hpp"
+#include "common/fastwrite.hpp"
 #include "pipeline/analysis.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/metrics.hpp"
@@ -58,10 +59,10 @@ void append_json_string(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+/// Shortest round-trip double (or `null` when non-finite), so a reader
+/// such as parse_fleet_profile recovers the folded value bit for bit.
 void append_num(std::string* out, double v) {
-  std::ostringstream os;
-  os << v;
-  *out += os.str();
+  fastwrite::append_json_number(*out, v);
 }
 
 /// Value of the first `name:` header in an HTTP header block (the

@@ -64,6 +64,31 @@ struct Scanner {
   }
 };
 
+/// Index of the '}' closing the object that opens at `open`, skipping
+/// quoted strings (demangled names such as `main::{lambda()#1}` carry
+/// braces) and nested objects; npos when unterminated.
+std::size_t object_end(const std::string& s, std::size_t open) {
+  std::size_t depth = 0;
+  bool in_string = false;
+  for (std::size_t i = open; i < s.size(); ++i) {
+    const char c = s[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;  // the escaped character cannot end the string
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{') {
+      ++depth;
+    } else if (c == '}' && --depth == 0) {
+      return i;
+    }
+  }
+  return std::string::npos;
+}
+
 }  // namespace
 
 Result<FleetProfileView> parse_fleet_profile(const std::string& json) {
@@ -84,10 +109,7 @@ Result<FleetProfileView> parse_fleet_profile(const std::string& json) {
   while (pos < json.size()) {
     const std::size_t obj = json.find_first_of("{]", pos);
     if (obj == std::string::npos || json[obj] == ']') break;
-    // Function names never contain braces (append_json_string escapes
-    // control characters and quotes only), so the first '}' ends the
-    // object.
-    const std::size_t end = json.find('}', obj);
+    const std::size_t end = object_end(json, obj);
     if (end == std::string::npos) {
       return Result<FleetProfileView>::error("/profile entry unterminated");
     }

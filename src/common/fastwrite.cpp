@@ -61,6 +61,16 @@ void append_general(std::string& out, double v, int precision) {
   out.append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[kNumBuf];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
 void append_padded(std::string& out, std::string_view text, std::size_t width,
                    bool left_align) {
   if (!left_align && text.size() < width) {

@@ -34,6 +34,12 @@ void append_fixed(std::string& out, double v, int decimals);
 /// precision 6 (the CSV series emitter depends on that equivalence).
 void append_general(std::string& out, double v, int precision = 6);
 
+/// JSON number append: the shortest decimal that reads back as exactly
+/// `v` (std::to_chars without a precision), so strtod on the other side
+/// recovers the same bits. JSON has no literal for NaN or infinity;
+/// non-finite values come out as `null`.
+void append_json_number(std::string& out, double v);
+
 /// Space-pad `text` to `width` (std::setw semantics: no truncation,
 /// left- or right-aligned).
 void append_padded(std::string& out, std::string_view text, std::size_t width,

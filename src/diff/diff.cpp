@@ -9,10 +9,8 @@
 #include <set>
 
 #include "common/fastwrite.hpp"
-#include "pipeline/analysis.hpp"
+#include "pipeline/fold_file.hpp"
 #include "report/json.hpp"
-#include "trace/align.hpp"
-#include "trace/reader.hpp"
 
 namespace tempest::diff {
 namespace {
@@ -327,36 +325,20 @@ const char* match_status_name(MatchStatus status) {
 
 Result<RunSummary> load_run(const std::string& path,
                             const LoadOptions& options) {
-  auto loaded = trace::read_trace_file(path);
-  if (!loaded.is_ok()) {
-    return Result<RunSummary>::error(path + ": " + loaded.message());
-  }
-  trace::Trace tr = std::move(loaded).value();
-  if (options.align) {
-    const Status aligned = trace::align_clocks(&tr);
-    if (!aligned) return Result<RunSummary>::error(path + ": " + aligned.message());
-  } else {
-    tr.sort_by_time();
-  }
-
-  pipeline::AnalysisOptions analysis;
-  analysis.profile = options.profile;
-  analysis.exe_override = options.exe_override;
-  analysis.threads = options.threads;
-  analysis.timeline_hint =
-      std::min(tr.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-  pipeline::AnalysisPipeline fold(analysis);
-  fold.set_metadata(tr);
-  fold.set_bounds(tr.start_tsc(), tr.end_tsc());
-  fold.add_fn_events(tr.fn_events.data(), tr.fn_events.size());
-  fold.add_temp_samples(tr.temp_samples.data(), tr.temp_samples.size());
-  pipeline::AnalysisResult result = fold.finish();
+  pipeline::FoldFileOptions fold;
+  fold.analysis.profile = options.profile;
+  fold.analysis.exe_override = options.exe_override;
+  fold.analysis.threads = options.threads;
+  fold.align = options.align;
+  auto folded = pipeline::fold_trace_file(path, fold);
+  if (!folded.is_ok()) return Result<RunSummary>::error(folded.message());
+  pipeline::FoldFileResult result = std::move(folded).value();
 
   RunSummary summary;
   summary.source = path;
-  summary.profile = std::move(result.profile);
-  summary.run_stats = result.run_stats;
-  summary.filter = tr.filter;
+  summary.profile = std::move(result.analysis.profile);
+  summary.run_stats = result.analysis.run_stats;
+  summary.filter = std::move(result.filter);
   return summary;
 }
 

@@ -89,8 +89,8 @@ struct ProfileOptions {
 
 /// Incremental profile assembly: the streaming core behind
 /// ProfileBuilder. Metadata arrives once (set_metadata), temperature
-/// samples arrive in time-sorted batches (add_samples — owned copies,
-/// batches are transient in the pipeline), and assemble() attributes
+/// samples arrive in batches time-sorted per node (add_samples — owned
+/// copies, batches are transient in the pipeline), and assemble() attributes
 /// them to a finished timeline. Sample storage is the only O(samples)
 /// state; samples are ~1% of events in practice, so the streaming
 /// path's memory stays bounded by them plus the timeline.
@@ -101,8 +101,8 @@ class ProfileAssembler {
   /// Record node/sensor inventory and the tick rate.
   void set_metadata(const trace::TraceHeader& header);
 
-  /// Append a batch of temperature samples (global time order across
-  /// calls, same as the event stream).
+  /// Append a batch of temperature samples (each node's samples in
+  /// time order across calls; nodes may interleave freely).
   void add_samples(const trace::TempSample* samples, std::size_t n);
 
   /// Attribute the collected samples to `timeline` and assemble the
@@ -113,7 +113,8 @@ class ProfileAssembler {
                       const std::vector<std::pair<std::uint64_t, std::string>>& names,
                       TimelineDiagnostics diagnostics) const;
 
-  /// The collected samples, in arrival order (time-sorted by contract).
+  /// The collected samples, in arrival order (time-sorted per node by
+  /// contract).
   /// The series extractors reuse them instead of keeping a second copy.
   const std::vector<trace::TempSample>& samples() const { return samples_; }
 

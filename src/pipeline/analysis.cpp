@@ -28,13 +28,22 @@ void AnalysisPipeline::set_bounds(std::uint64_t start_tsc, std::uint64_t end_tsc
   bounds_forced_ = true;
 }
 
+template <typename Record>
+void AnalysisPipeline::widen_bounds(const Record* records, std::size_t n) {
+  std::uint64_t lo = records[0].tsc;
+  std::uint64_t hi = lo;
+  for (std::size_t i = 1; i < n; ++i) {
+    lo = std::min(lo, records[i].tsc);
+    hi = std::max(hi, records[i].tsc);
+  }
+  if (!any_records_ || lo < start_tsc_) start_tsc_ = lo;
+  if (!any_records_ || hi > end_tsc_) end_tsc_ = hi;
+}
+
 void AnalysisPipeline::add_fn_events(const trace::FnEvent* events, std::size_t n) {
   if (n == 0) return;
-  if (!bounds_forced_) {
-    // Batches are time-sorted per kind, so the ends bound the batch.
-    if (!any_records_ || events[0].tsc < start_tsc_) start_tsc_ = events[0].tsc;
-    if (!any_records_ || events[n - 1].tsc > end_tsc_) end_tsc_ = events[n - 1].tsc;
-  }
+  // Batches are ordered per thread, not globally, so scan for the ends.
+  if (!bounds_forced_) widen_bounds(events, n);
   any_records_ = true;
   timeline_->add_events(events, n);
 }
@@ -42,10 +51,7 @@ void AnalysisPipeline::add_fn_events(const trace::FnEvent* events, std::size_t n
 void AnalysisPipeline::add_temp_samples(const trace::TempSample* samples,
                                         std::size_t n) {
   if (n == 0) return;
-  if (!bounds_forced_) {
-    if (!any_records_ || samples[0].tsc < start_tsc_) start_tsc_ = samples[0].tsc;
-    if (!any_records_ || samples[n - 1].tsc > end_tsc_) end_tsc_ = samples[n - 1].tsc;
-  }
+  if (!bounds_forced_) widen_bounds(samples, n);
   any_records_ = true;
   assembler_.add_samples(samples, n);
 }

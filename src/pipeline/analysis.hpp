@@ -44,11 +44,13 @@ struct AnalysisResult {
 };
 
 /// The streaming counterpart of parse_trace: metadata once, then
-/// aligned, time-sorted event/sample batches in any interleaving, then
-/// finish(). Folds into TimelineAccumulator and ProfileAssembler, so
-/// peak memory is O(timeline + samples), not O(events). Identical
-/// inputs produce bit-identical profiles to the batch path — parse_trace
-/// itself is a wrapper over this class.
+/// aligned event/sample batches in any interleaving, then finish().
+/// Events need only be time-ordered per thread and samples per node
+/// (FoldOrderCheckStage checks exactly that); any cross-thread or
+/// cross-node interleaving folds to the same bytes. Folds into
+/// TimelineAccumulator and ProfileAssembler, so peak memory is
+/// O(timeline + samples), not O(events). parse_trace itself is a
+/// wrapper over this class.
 class AnalysisPipeline {
  public:
   explicit AnalysisPipeline(AnalysisOptions options = {});
@@ -56,10 +58,10 @@ class AnalysisPipeline {
   /// Must precede the first batch. Applies exe_override.
   void set_metadata(const TraceMeta& meta);
 
-  /// Override the inferred run bounds. Streaming sources emit
-  /// time-sorted batches, so the default first/last inference is exact;
-  /// the batch wrapper passes the trace's scanned bounds instead, which
-  /// also covers its one unsorted corner (align with no syncs).
+  /// Override the inferred run bounds. By default they are the min and
+  /// max tsc over every event and sample added — the same values
+  /// Trace::start_tsc/end_tsc scan for — so callers holding a whole
+  /// trace may pass those instead.
   void set_bounds(std::uint64_t start_tsc, std::uint64_t end_tsc);
 
   void add_fn_events(const trace::FnEvent* events, std::size_t n);
@@ -77,6 +79,10 @@ class AnalysisPipeline {
   AnalysisResult finish(const symtab::Resolver* resolver = nullptr);
 
  private:
+  /// Extend [start_tsc_, end_tsc_] over a non-empty batch.
+  template <typename Record>
+  void widen_bounds(const Record* records, std::size_t n);
+
   AnalysisOptions options_;
   TraceMeta meta_;
   std::optional<parser::ShardedTimelineAccumulator> timeline_;

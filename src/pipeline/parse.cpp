@@ -28,10 +28,6 @@ Result<RunProfile> parse_trace(trace::Trace trace, const ParseOptions& options,
       std::min(trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
   pipeline::AnalysisPipeline fold(std::move(fold_options));
   fold.set_metadata(trace);
-  // The aligned-but-syncless corner leaves the trace unsorted (the batch
-  // path never sorted it either); pass the scanned bounds instead of
-  // letting the fold infer them from batch ends.
-  fold.set_bounds(trace.start_tsc(), trace.end_tsc());
   fold.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
   fold.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
   return std::move(fold.finish(resolver).profile);

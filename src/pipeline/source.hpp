@@ -18,8 +18,8 @@ namespace tempest::pipeline {
 /// bounded-memory replacement for read_trace_file + parse. Batches come
 /// out in file order (events, then samples, then syncs); records are in
 /// the raw recorded clock domains. Compose with ClockAlignStage (fed by
-/// clock_fits()) and OrderCheckStage to reproduce the batch parser's
-/// aligned, sorted stream.
+/// clock_fits()) and the order check its consumer needs:
+/// FoldOrderCheckStage for profiles, OrderCheckStage for exporters.
 class ChunkedTraceSource : public Source {
  public:
   static Result<ChunkedTraceSource> open(const std::string& path,

@@ -9,12 +9,13 @@
 // entry points (parser/parse.hpp) are thin wrappers over the same
 // consumer cores, so both paths produce bit-identical profiles.
 //
-// Ordering contract: a Source emits each record kind in global time
-// order across batches (events sorted, samples sorted; the two kinds
-// may arrive in separate batches and need not interleave). Sources
-// that cannot guarantee order fail with a Status instead of silently
-// degrading — consumers fold batches under the same assumptions
-// Trace::sort_by_time establishes for the batch path.
+// Ordering contract: the two record kinds may arrive in separate
+// batches and need not interleave; within a kind, what a consumer needs
+// depends on the consumer (DESIGN.md §8). The profile fold needs events
+// in time order per thread and samples per node (FoldOrderCheckStage);
+// the timeline exporters need each kind in global time order
+// (OrderCheckStage). A stream that breaks its consumer's contract fails
+// with a Status instead of silently degrading.
 #pragma once
 
 #include <cstddef>

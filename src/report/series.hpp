@@ -51,8 +51,9 @@ ThermalSeries extract_series(
     const std::vector<std::string>& span_functions = {});
 
 /// Streaming-friendly core behind extract_series: curves come from
-/// metadata plus an already-aligned, time-sorted sample stream, and
-/// spans from a timeline the caller has already built (required when
+/// metadata plus an already-aligned sample stream (time-sorted per
+/// node; nodes may interleave), and spans from a timeline the caller
+/// has already built (required when
 /// `span_functions` is non-empty; span names resolve as in
 /// extract_series — synthetic symbols, then the executable's symtab).
 /// Identical inputs produce byte-identical ThermalSeries either way.

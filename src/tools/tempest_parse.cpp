@@ -19,9 +19,9 @@
 //     --top N             print at most N functions per node
 //     --gnuplot PREFIX    write PREFIX.dat + PREFIX.gp (render with
 //                         `gnuplot PREFIX.gp` -> profile.png)
-//     --stream            analyse incrementally with bounded memory
-//                         (traces larger than RAM); needs a time-sorted
-//                         trace, which recorded files are
+//     --stream            accepted and ignored for profiles, which
+//                         always stream (see below); with --export it
+//                         streams the timeline with bounded memory
 //     --threads N         worker threads for decode + analysis (default
 //                         hardware concurrency, TEMPEST_ANALYSIS_THREADS
 //                         overrides); output is byte-identical at any N,
@@ -35,6 +35,12 @@
 //                         honours --stream / --no-align / --exe and
 //                         writes to standard output
 //     --version           print tool and trace-format version
+//
+// A profile only needs each thread's events and each node's samples in
+// time order, so a single trace file streams through clock alignment
+// into the fold with bounded memory and no global sort. Pipes and the
+// rare trace whose per-thread order breaks are read into memory and
+// sorted instead; the output is the same either way.
 //
 // Passing several trace files (one per MPI rank) fan-ins them in a
 // single streaming pass: metadata is concatenated, clocks are fitted
@@ -51,18 +57,15 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/worker_pool.hpp"
 #include "export/run.hpp"
-#include "pipeline/prefetch.hpp"
 #include "pipeline/analysis.hpp"
+#include "pipeline/fold_file.hpp"
+#include "pipeline/prefetch.hpp"
 #include "pipeline/rank_fanin.hpp"
 #include "pipeline/sinks.hpp"
-#include "pipeline/source.hpp"
 #include "pipeline/stages.hpp"
 #include "report/ascii_plot.hpp"
 #include "report/stdout_format.hpp"
-#include "trace/align.hpp"
-#include "trace/reader.hpp"
 #include "trace/writer.hpp"
 
 namespace {
@@ -200,8 +203,8 @@ int main(int argc, char** argv) {
   analysis_options.span_functions = span_functions;
   analysis_options.threads = threads;
 
-  // One emitter list serves both paths: primary format first, then the
-  // plot / gnuplot add-ons, in the order the batch tool printed them.
+  // Primary format first, then the plot / gnuplot add-ons; they run
+  // only once the fold has finished.
   std::vector<std::unique_ptr<pipeline::ProfileEmitter>> owned;
   tempest::report::StdoutOptions stdout_options;
   stdout_options.max_functions = top;
@@ -226,108 +229,58 @@ int main(int argc, char** argv) {
   emitters.reserve(owned.size());
   for (const auto& e : owned) emitters.push_back(e.get());
 
-  const tempest::parser::RunProfile* profile = nullptr;
-  pipeline::AnalysisSink sink(analysis_options, emitters);
-  pipeline::AnalysisResult batch_result;
-
-  if (stream || paths.size() > 1) {
-    // Streaming path: bounded memory, optionally multi-rank.
-    pipeline::OrderCheckStage order;
-    std::vector<pipeline::Stage*> stages;
-    std::optional<tempest::WorkerPool> pool;
-    std::optional<pipeline::ChunkedTraceSource> chunked;
-    std::optional<pipeline::ClockAlignStage> align_stage;
-    std::optional<pipeline::RankFanIn> fan;
-    pipeline::Source* source = nullptr;
-    if (paths.size() > 1) {
-      auto opened = pipeline::RankFanIn::open(paths);
-      if (!opened.is_ok()) {
-        std::cerr << "tempest_parse: " << opened.message() << "\n";
-        return 1;
-      }
-      fan.emplace(std::move(opened).value());
-      source = &*fan;  // already aligned and merged; just verify order
-    } else {
-      auto opened = pipeline::ChunkedTraceSource::open(paths[0]);
-      if (!opened.is_ok()) {
-        std::cerr << "tempest_parse: " << opened.message() << "\n";
-        return 1;
-      }
-      chunked.emplace(std::move(opened).value());
-      if (threads > 1) {
-        pool.emplace(threads);
-        chunked->set_decode_pool(&*pool);
-      }
-      if (align) {
-        auto fits = chunked->clock_fits();
-        if (!fits.is_ok()) {
-          std::cerr << "tempest_parse: " << fits.message() << "\n";
-          return 1;
-        }
-        align_stage.emplace(std::move(fits).value());
-        stages.push_back(&*align_stage);
-      }
-      source = &*chunked;
+  pipeline::AnalysisResult result;
+  if (paths.size() > 1) {
+    // Multi-rank fan-in: RankFanIn merges the ranks by aligned global
+    // time itself; the order check only verifies that merge.
+    auto opened = pipeline::RankFanIn::open(paths);
+    if (!opened.is_ok()) {
+      std::cerr << "tempest_parse: " << opened.message() << "\n";
+      return 1;
     }
-    stages.push_back(&order);
-    // Read-ahead decorator overlaps I/O + decode with the fold; declared
-    // after the sources so its producer thread joins before they die.
+    pipeline::RankFanIn fan = std::move(opened).value();
+    pipeline::Source* source = &fan;
+    // Read-ahead overlaps I/O + decode with the fold; declared after
+    // the fan-in so its producer thread joins first.
     std::optional<pipeline::PrefetchSource> prefetch;
     if (threads > 1) {
       prefetch.emplace(source);
       source = &*prefetch;
     }
-    const Status ran = pipeline::run_pipeline(source, stages, {&sink});
+    pipeline::OrderCheckStage order;
+    pipeline::AnalysisSink sink(analysis_options);
+    const Status ran = pipeline::run_pipeline(source, {&order}, {&sink});
     if (!ran) {
       std::cerr << "tempest_parse: " << ran.message() << "\n";
       return 1;
     }
-    profile = &sink.result().profile;
+    result = sink.result();
   } else {
-    // Batch path: load, align (loudly — a failed fit is an error, not a
-    // silently skewed report), fold through the same analysis core.
-    auto loaded = tempest::trace::read_trace_file(paths[0]);
-    if (!loaded.is_ok()) {
-      std::cerr << "tempest_parse: cannot read trace: " << loaded.message()
-                << "\n";
+    pipeline::FoldFileOptions fold_options;
+    fold_options.analysis = analysis_options;
+    fold_options.align = align;
+    auto folded = pipeline::fold_trace_file(paths[0], fold_options);
+    if (!folded.is_ok()) {
+      std::cerr << "tempest_parse: " << folded.message() << "\n";
       return 1;
     }
-    tempest::trace::Trace trace = std::move(loaded).value();
-    if (align) {
-      const Status aligned = tempest::trace::align_clocks(&trace);
-      if (!aligned) {
-        std::cerr << "tempest_parse: " << aligned.message() << "\n";
-        return 1;
-      }
-    } else {
-      trace.sort_by_time();
-    }
-    analysis_options.timeline_hint =
-        std::min(trace.fn_events.size() / 8 + 16, std::size_t{1} << 16);
-    pipeline::AnalysisPipeline fold(analysis_options);
-    fold.set_metadata(trace);
-    fold.set_bounds(trace.start_tsc(), trace.end_tsc());
-    fold.add_fn_events(trace.fn_events.data(), trace.fn_events.size());
-    fold.add_temp_samples(trace.temp_samples.data(), trace.temp_samples.size());
-    batch_result = fold.finish();
-    for (pipeline::ProfileEmitter* emitter : emitters) {
-      const Status emitted = emitter->emit(batch_result);
-      if (!emitted) {
-        std::cerr << "tempest_parse: " << emitted.message() << "\n";
-        return 1;
-      }
-    }
-    profile = &batch_result.profile;
+    result = std::move(folded).value().analysis;
   }
-
+  for (pipeline::ProfileEmitter* emitter : emitters) {
+    const Status emitted = emitter->emit(result);
+    if (!emitted) {
+      std::cerr << "tempest_parse: " << emitted.message() << "\n";
+      return 1;
+    }
+  }
   if (!gnuplot_prefix.empty()) {
     std::cerr << "wrote " << gnuplot_prefix << ".dat and " << gnuplot_prefix
               << ".gp\n";
   }
-  if (profile->diagnostics.unmatched_exits > 0 ||
-      profile->diagnostics.force_closed > 0) {
-    std::cerr << "note: " << profile->diagnostics.unmatched_exits
-              << " unmatched exits, " << profile->diagnostics.force_closed
+  const tempest::parser::TimelineDiagnostics& diag = result.profile.diagnostics;
+  if (diag.unmatched_exits > 0 || diag.force_closed > 0) {
+    std::cerr << "note: " << diag.unmatched_exits
+              << " unmatched exits, " << diag.force_closed
               << " functions force-closed at trace end\n";
   }
   return 0;

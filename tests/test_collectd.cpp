@@ -8,7 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,8 @@
 #include "collectd/net.hpp"
 #include "collectd/profile_client.hpp"
 #include "collectd/wire.hpp"
+#include "common/fastwrite.hpp"
+#include "parser/parse.hpp"
 #include "parser/profile.hpp"
 #include "pipeline/rank_fanin.hpp"
 #include "pipeline/sinks.hpp"
@@ -764,6 +768,77 @@ TEST(Collector, ProfileServesPooledTimeStats) {
     EXPECT_NEAR(fn.time_var_s2, 0.0, 1e-18);
   }
   EXPECT_TRUE(shared_seen) << body;
+  collector.stop();
+}
+
+// -- /profile numbers and names survive the round trip -----------------
+
+TEST(Collector, FleetProfileReaderSkipsBracesInsideNames) {
+  // Demangled lambdas carry '}' (and names may carry escaped quotes);
+  // neither may end an entry early.
+  const std::string body =
+      "{\"sessions_folded\":2,\"functions\":["
+      "{\"name\":\"main::{lambda()#1}::operator()() const\",\"calls\":7,"
+      "\"total_time_s\":1.25,\"sessions\":2,\"activations\":7,"
+      "\"time_mean_s\":0.125,\"time_var_s2\":0.5},"
+      "{\"name\":\"quote\\\"}{\\\\\",\"calls\":3,\"total_time_s\":0.75,"
+      "\"sessions\":1,\"activations\":3,\"time_mean_s\":0.25,"
+      "\"time_var_s2\":0.0625}]}";
+  auto view = collectd::parse_fleet_profile(body);
+  ASSERT_TRUE(view.is_ok()) << view.message();
+  ASSERT_EQ(view.value().functions.size(), 2u);
+  const auto& lambda = view.value().functions[0];
+  EXPECT_EQ(lambda.name, "main::{lambda()#1}::operator()() const");
+  EXPECT_EQ(lambda.calls, 7u);
+  EXPECT_EQ(lambda.total_time_s, 1.25);
+  EXPECT_EQ(lambda.sessions, 2u);
+  EXPECT_EQ(lambda.time_mean_s, 0.125);
+  EXPECT_EQ(lambda.time_var_s2, 0.5);
+  const auto& quoted = view.value().functions[1];
+  EXPECT_EQ(quoted.name, "quote\"}{\\");
+  EXPECT_EQ(quoted.calls, 3u);
+  EXPECT_EQ(quoted.time_var_s2, 0.0625);
+}
+
+TEST(Collector, ProfileNumbersRoundTripBitExactly) {
+  collectd::CollectorOptions options;
+  options.ingest_uds = sock_path("roundtrip");
+  collectd::Collector collector(options);
+  ASSERT_TRUE(collector.start());
+
+  // An odd tick rate gives every time figure more than 6 significant
+  // digits, which a default-formatted ostream would round away.
+  Trace t = session_trace(5, 20);
+  t.tsc_ticks_per_second = 2.9e9 + 1234567.0;
+  t.synthetic_symbols[0].name = "main::{lambda()#1}::operator()() const";
+  collectd::CollectClient client;
+  ASSERT_TRUE(client.connect("uds:" + options.ingest_uds, 2.0));
+  ASSERT_TRUE(stream_session(&client, t, 55));
+  ASSERT_TRUE(wait_until(
+      [&] { return collector.fleet().sessions_folded == 1; }));
+
+  auto offline = parser::parse_trace(t);
+  ASSERT_TRUE(offline.is_ok()) << offline.message();
+  std::map<std::string, collectd::FleetFunction> expected;
+  collectd::fold_profile(offline.value(), &expected);
+
+  std::string body;
+  ASSERT_EQ(collector.handle_query("/profile", &body), 200);
+  auto view = collectd::parse_fleet_profile(body);
+  ASSERT_TRUE(view.is_ok()) << view.message();
+  ASSERT_EQ(view.value().functions.size(), expected.size()) << body;
+  for (const auto& fn : view.value().functions) {
+    const auto it = expected.find(fn.name);
+    ASSERT_NE(it, expected.end()) << fn.name;
+    EXPECT_EQ(fn.calls, it->second.calls) << fn.name;
+    EXPECT_EQ(fn.total_time_s, it->second.total_time_s) << fn.name;
+    EXPECT_EQ(fn.time_mean_s, it->second.time_mean_s) << fn.name;
+    EXPECT_EQ(fn.time_var_s2, it->second.time_var_s2()) << fn.name;
+    std::string six_digits;
+    fastwrite::append_general(six_digits, fn.total_time_s, 6);
+    EXPECT_NE(std::strtod(six_digits.c_str(), nullptr), fn.total_time_s)
+        << fn.name << " does not exercise more than 6 significant digits";
+  }
   collector.stop();
 }
 
